@@ -178,6 +178,17 @@ func TestMirrorParity(t *testing.T) {
 	}
 }
 
+// TestMirrorParityGenerics pins parity through generic policy types:
+// each engine reaches a per-instantiation method object, which must
+// count as the declared method.
+func TestMirrorParityGenerics(t *testing.T) {
+	prog, res := loadCase(t, []*Analyzer{mirrorparity}, "mirrorparity_generic_bad", "mirrorparity_generic_ok")
+	checkWants(t, prog, res)
+	if res.Suppressed != 0 {
+		t.Errorf("suppressed = %d, want 0", res.Suppressed)
+	}
+}
+
 func TestStatDiscipline(t *testing.T) {
 	prog, res := loadCase(t, []*Analyzer{statdiscipline}, "statdiscipline_bad", "statdiscipline_ok")
 	checkWants(t, prog, res)

@@ -84,7 +84,11 @@ func runMirrorParity(pass *Pass) {
 					return true
 				}
 				callee := staticCallee(declPkg.Info, call)
-				if callee == nil || callee.Pkg() != pass.Pkg.Types || reached[callee] {
+				if callee == nil || callee.Pkg() != pass.Pkg.Types {
+					return true
+				}
+				callee = callee.Origin()
+				if reached[callee] {
 					return true
 				}
 				reached[callee] = true
@@ -166,12 +170,15 @@ func isDecisionEntryPoint(pkg *Package, fn *types.Func) bool {
 }
 
 // seedPolicyRefs adds every policy function the engine package
-// references (calls, assigns, passes as a value) to reached.
+// references (calls, assigns, passes as a value) to reached. A method
+// of an instantiated generic type (TenantPlane[planeItem].Admit) is a
+// distinct object per instantiation; Origin maps it back to the
+// declared method, the one decisionEntryPoints lists.
 func seedPolicyRefs(pass *Pass, epkg *Package, reached map[*types.Func]bool) {
 	for _, obj := range epkg.Info.Uses {
 		fn, ok := obj.(*types.Func)
 		if ok && fn.Pkg() == pass.Pkg.Types {
-			reached[fn] = true
+			reached[fn.Origin()] = true
 		}
 	}
 }

@@ -199,7 +199,7 @@ func newDiffHarness(t *testing.T, level core.ReuseLevel, workers, slots int, opt
 	}
 	if opts.refs {
 		cfg.RefOwnedBytesCap = 2 << 20
-		// The manager always plans through PlanTaskBatch; for plain
+		// The manager always plans through PlanTaskBatchInto; for plain
 		// inputs sequential planning is provably equivalent, but a ref
 		// stage's suppression effect (the batch overlay's pending mark)
 		// only matches when the sim plans through the same batch entry

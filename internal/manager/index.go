@@ -255,11 +255,7 @@ func (m *Manager) forwardEvacuated(tasks []pendingTask, invs map[string][]pendin
 		m.routeTask(pt)
 	}
 	for _, lib := range core.SortedKeys(invs) {
-		idx, ok := m.router.Owner(lib)
-		if !ok {
-			idx = m.router.Park(lib)
-		}
-		m.forwardInvQueue(idx, lib, invs[lib])
+		m.forwardInvQueue(m.router.Owner(lib), lib, invs[lib])
 	}
 }
 

@@ -738,11 +738,7 @@ func (m *Manager) SubmitInvocation(inv *core.InvocationSpec) int64 {
 // the spec goes onto the shard's intake stack and the wake latch does
 // the rest, so a submit burst never contends with a running pass.
 func (m *Manager) routeTask(pt pendingTask) {
-	idx, ok := m.router.Owner(pt.key)
-	if !ok {
-		idx = m.router.Park(pt.key)
-	}
-	s := m.shards[idx]
+	s := m.shards[m.router.Owner(pt.key)]
 	n := intakeNodePool.Get().(*intakeNode)
 	n.isTask, n.task = true, pt
 	s.pushIntake(n)
@@ -755,11 +751,7 @@ func (m *Manager) routeTask(pt pendingTask) {
 // cluster it parks in the library's home shard. Lock-free hand-off,
 // like routeTask.
 func (m *Manager) routeInv(pi pendingInv) {
-	idx, ok := m.router.RouteSpec(pi.inv.ID)
-	if !ok {
-		idx = m.router.Park(pi.inv.Library)
-	}
-	s := m.shards[idx]
+	s := m.shards[m.router.RouteSpec(pi.inv.ID, pi.inv.Library)]
 	n := intakeNodePool.Get().(*intakeNode)
 	n.isTask, n.inv = false, pi
 	s.pushIntake(n)
@@ -1297,8 +1289,14 @@ func (s *shard) onResult(w *workerState, res core.Result) {
 	if ok && !retried && !res.Ok {
 		atomic.AddInt64(&m.stats.Failures, 1)
 	}
-	if ok && !retried && e.inv != nil && len(s.freeInflight) < 1024 {
-		s.freeInflight = append(s.freeInflight, e)
+	// The tenant is read before e is recycled: once the lock drops, a
+	// schedule pass may reuse the entry for another tenant's spec.
+	var tenant string
+	if ok && !retried {
+		tenant = specTenant(e)
+		if e.inv != nil && len(s.freeInflight) < 1024 {
+			s.freeInflight = append(s.freeInflight, e)
+		}
 	}
 	s.mu.Unlock()
 	if ok && !retried {
@@ -1307,7 +1305,7 @@ func (s *shard) onResult(w *workerState, res core.Result) {
 		// freed capacity may release queued plane work, drained and
 		// woken inline — no shard lock is held here.
 		if m.planeActive.Load() {
-			m.plane.release(specTenant(e), true)
+			m.plane.release(tenant, true)
 		}
 	}
 	if retried {

@@ -21,10 +21,11 @@ import (
 // comes from the pure policy core (internal/policy) reading the shard's
 // ClusterView. This file only *executes* decisions: it sends messages,
 // moves resource commitments, and reports the resulting transitions
-// back into the view. Passes plan in batches (PlanTaskBatch,
-// PlaceReadyBatch) whose contract is strict sequential equivalence, so
-// the decision sequence is identical to the one-at-a-time loop the
-// simulator replays — the differential test in this package proves it.
+// back into the view. Passes plan in batches (PlanTaskBatchInto,
+// PlaceReadyBatchInto) whose contract is strict sequential
+// equivalence, so the decision sequence is identical to the
+// one-at-a-time loop the simulator replays — the differential test in
+// this package proves it.
 
 // ---- staging execution ----
 
@@ -308,7 +309,7 @@ func (s *shard) directSendLocked(w *workerState, fs core.FileSpec) {
 
 // scheduleTasksLocked plans placements for the whole pending-task
 // queue in one batched policy call, then executes the returned
-// decisions in order. PlanTaskBatch's sequential-equivalence contract
+// decisions in order. PlanTaskBatchInto's sequential-equivalence contract
 // makes this emit exactly the decision sequence of the old
 // plan-one/execute-one loop.
 func (s *shard) scheduleTasksLocked() (forward []pendingTask, target int) {
@@ -413,7 +414,7 @@ func (s *shard) execPlaceTaskLocked(pt pendingTask, d policy.PlaceTask) {
 
 // scheduleLibQueueLocked runs one placement pass over a single
 // library's pending invocations. Ready-instance placements are planned
-// in batches: one PlaceReadyBatch call covers a run of queue entries
+// in batches: one PlaceReadyBatchInto call covers a run of queue entries
 // sharing the same avoid preference, and its cached decisions are
 // popped as the run executes (deploys started mid-pass never change a
 // ready placement — a new instance is not Ready until its ack — so the

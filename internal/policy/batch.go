@@ -7,9 +7,10 @@ import (
 // Batched decision entry points (DESIGN.md §12): one call plans K
 // placements instead of one, so a driver's lock acquisition and pass
 // setup amortize over the whole batch. The contract is strict
-// sequential equivalence — PlanTaskBatch and PlaceReadyBatch return
-// exactly the decision sequence the unbatched calls would produce if
-// the driver executed each placement before planning the next.
+// sequential equivalence — PlanTaskBatchInto and PlaceReadyBatchInto
+// return exactly the decision sequence the unbatched calls would
+// produce if the driver executed each placement before planning the
+// next.
 //
 // Internally each planned placement's view effects (resource
 // commitment, in-flight copies, source transfer slots, manager sends,
@@ -37,26 +38,19 @@ type TaskReq struct {
 	Tenant string
 }
 
-// PlanTaskBatch plans a placement for every request, in order. The
-// result is index-aligned with reqs: a zero Worker with Blocked set
-// means "wait for those objects", a zero Worker with no Blocked means
-// no candidate fits now — exactly PlanTask's contract. The view is
-// unchanged on return.
-//
-//vinelint:ignore mirrorparity convenience wrapper over PlanTaskBatchInto; the manager takes the scratch-slice variant and batched_test proves both emit identical decisions
-func (v *ClusterView) PlanTaskBatch(reqs []TaskReq, f Filter) []PlaceTask {
-	return v.PlanTaskBatchInto(nil, reqs, f)
-}
-
-// PlanTaskBatchInto is PlanTaskBatch appending into dst (which may be
-// nil or a recycled scratch slice truncated to zero). Drivers that
+// PlanTaskBatchInto plans a placement for every request, in order,
+// appending to dst (which may be nil or a recycled scratch slice
+// truncated to zero). The appended decisions are index-aligned with
+// reqs: a zero Worker with Blocked set means "wait for those objects",
+// a zero Worker with no Blocked means no candidate fits now — exactly
+// PlanTask's contract. The view is unchanged on return. Drivers that
 // plan every wake pass keep one scratch per shard so a pass allocates
 // no decision slice; the returned slice is valid until the caller
 // reuses dst.
 func (v *ClusterView) PlanTaskBatchInto(dst []PlaceTask, reqs []TaskReq, f Filter) []PlaceTask {
 	undo := v.undoScratch[:0]
 	for _, r := range reqs {
-		d := v.PlanTask(r.Key, r.Res, r.Inputs, andFilters(Excluding(r.Avoid), f))
+		d := v.PlanTask(r.Key, r.Res, r.Inputs, AndFilters(Excluding(r.Avoid), f))
 		if d.Worker == nil && r.Avoid != "" {
 			d = v.PlanTask(r.Key, r.Res, r.Inputs, f)
 		}
@@ -70,20 +64,13 @@ func (v *ClusterView) PlanTaskBatchInto(dst []PlaceTask, reqs []TaskReq, f Filte
 	return dst
 }
 
-// PlaceReadyBatch picks ready instances for up to k invocations of
-// lib, in order, stopping at the first "no ready capacity" — the
-// skip-and-stop rule of a library queue pass (every queued invocation
-// of one library faces the same cluster state). The view is unchanged
-// on return.
-//
-//vinelint:ignore mirrorparity convenience wrapper over PlaceReadyBatchInto; the manager takes the scratch-slice variant and batched_test proves both emit identical decisions
-func (v *ClusterView) PlaceReadyBatch(lib string, k int, f Filter) []PlaceInvocation {
-	return v.PlaceReadyBatchInto(make([]PlaceInvocation, 0, k), lib, k, f)
-}
-
-// PlaceReadyBatchInto is PlaceReadyBatch appending into dst (which may
-// be nil or a recycled scratch slice truncated to zero). The returned
-// slice is valid until the caller reuses dst.
+// PlaceReadyBatchInto picks ready instances for up to k invocations
+// of lib, in order, appending to dst (nil or a recycled scratch slice
+// truncated to zero) and stopping at the first "no ready capacity" —
+// the skip-and-stop rule of a library queue pass (every queued
+// invocation of one library faces the same cluster state). The view is
+// unchanged on return; the returned slice is valid until the caller
+// reuses dst.
 func (v *ClusterView) PlaceReadyBatchInto(dst []PlaceInvocation, lib string, k int, f Filter) []PlaceInvocation {
 	undo := v.undoScratch[:0]
 	for i := 0; i < k; i++ {
@@ -172,8 +159,8 @@ func (v *ClusterView) revert(undo []undoOp) {
 	}
 }
 
-// andFilters conjoins two optional view filters.
-func andFilters(a, b Filter) Filter {
+// AndFilters conjoins two optional view filters.
+func AndFilters(a, b Filter) Filter {
 	if a == nil {
 		return b
 	}

@@ -50,7 +50,7 @@ func describeTask(d PlaceTask) string {
 }
 
 // TestPlanTaskBatchMatchesSequential drives the same request list
-// through PlanTaskBatch and through the unbatched plan-execute-plan
+// through PlanTaskBatchInto and through the unbatched plan-execute-plan
 // loop on an identical view, and requires decision-for-decision
 // equality plus identical end states.
 func TestPlanTaskBatchMatchesSequential(t *testing.T) {
@@ -90,16 +90,16 @@ func TestPlanTaskBatchMatchesSequential(t *testing.T) {
 
 	pendingBefore := len(batchView.PendingCopies)
 	sendsBefore := batchView.ManagerSends
-	got := batchView.PlanTaskBatch(reqs, nil)
+	got := batchView.PlanTaskBatchInto(nil, reqs, nil)
 
 	// The view must be observably unchanged before the driver executes.
 	if len(batchView.PendingCopies) != pendingBefore || batchView.ManagerSends != sendsBefore {
-		t.Fatalf("PlanTaskBatch mutated the view: pending %d→%d, sends %d→%d",
+		t.Fatalf("PlanTaskBatchInto mutated the view: pending %d→%d, sends %d→%d",
 			pendingBefore, len(batchView.PendingCopies), sendsBefore, batchView.ManagerSends)
 	}
 	for id, w := range batchView.Workers {
 		if w.Commit != (core.Resources{}) || w.TransfersOut != 0 {
-			t.Fatalf("PlanTaskBatch left residue on %s: commit=%+v transfers=%d", id, w.Commit, w.TransfersOut)
+			t.Fatalf("PlanTaskBatchInto left residue on %s: commit=%+v transfers=%d", id, w.Commit, w.TransfersOut)
 		}
 	}
 
@@ -147,13 +147,13 @@ func TestPlaceReadyBatchMatchesSequential(t *testing.T) {
 	seqView, seqWs, seqLvs := build()
 
 	const k = 12 // more than the 9 free slots: the batch must stop at capacity
-	got := batchView.PlaceReadyBatch("lib", k, nil)
+	got := batchView.PlaceReadyBatchInto(nil, "lib", k, nil)
 
 	// View unchanged before execution.
 	for i, w := range seqWs {
 		_ = w
 		if batchView.Workers[seqWs[i].ID].Libs["lib"].FreeReady != seqLvs[i].FreeReady {
-			t.Fatalf("PlaceReadyBatch mutated FreeReady on %s", seqWs[i].ID)
+			t.Fatalf("PlaceReadyBatchInto mutated FreeReady on %s", seqWs[i].ID)
 		}
 	}
 
@@ -187,7 +187,7 @@ func TestPlaceReadyBatchRespectsFilter(t *testing.T) {
 	v, ws := newView(t, Options{}, 2)
 	addReadyLib(v, ws[0], "lib", 2, 0)
 	addReadyLib(v, ws[1], "lib", 2, 0)
-	got := v.PlaceReadyBatch("lib", 4, Excluding(ws[0].ID))
+	got := v.PlaceReadyBatchInto(nil, "lib", 4, Excluding(ws[0].ID))
 	if len(got) != 2 {
 		t.Fatalf("placed %d, want 2 (only the admitted worker's slots)", len(got))
 	}

@@ -16,8 +16,9 @@
 //   - Invocations round-robin across shards that have live workers
 //     (RouteSpec): invocations of one library are interchangeable, so
 //     spreading them is pure load balancing.
-//   - With no live workers anywhere, specs park in a key-derived home
-//     shard (Park) and are re-routed when the first worker joins.
+//   - With no live workers anywhere, every rule parks the spec in its
+//     park key's home shard — a pure function, so re-routing on the
+//     first join finds it deterministically. The rules never fail.
 //
 // The Router holds no spec state and takes no shard locks — it is a
 // read-mostly membership index. Cross-shard spec migration (a shard
@@ -119,30 +120,30 @@ func (r *Router) LiveIn(s int) int {
 	return r.live[s]
 }
 
-// Owner routes a key to the shard of its ring-preferred live worker.
-// ok is false when no worker is live anywhere.
-func (r *Router) Owner(key string) (int, bool) {
+// Owner routes a key to the shard of its ring-preferred live worker,
+// parking it in the key's home shard when no worker is live anywhere.
+func (r *Router) Owner(key string) int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	id := r.ring.Lookup(key)
 	if id == "" {
-		return 0, false
+		return r.park(key)
 	}
-	return hashring.Partition(id, r.n), true
+	return hashring.Partition(id, r.n)
 }
 
-// RouteSpec round-robins a spec ID across shards with live workers.
-// ok is false when no worker is live anywhere.
-func (r *Router) RouteSpec(id int64) (int, bool) {
+// RouteSpec round-robins a spec ID across shards with live workers,
+// parking it in park's home shard when no worker is live anywhere.
+func (r *Router) RouteSpec(id int64, park string) int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if len(r.alive) == 0 {
-		return 0, false
+		return r.park(park)
 	}
 	if id < 0 {
 		id = -id
 	}
-	return r.alive[int(id)%len(r.alive)], true
+	return r.alive[int(id)%len(r.alive)]
 }
 
 // RouteSpecTenant routes one tenant's seq-th drained spec across the
@@ -151,18 +152,19 @@ func (r *Router) RouteSpec(id int64) (int, bool) {
 // own drain count — not the global spec ID — so one tenant's burst
 // sweeps every live shard evenly no matter how the global ID sequence
 // interleaves with other tenants, and no shard's intake can be
-// monopolized. ok is false when no worker is live anywhere.
-func (r *Router) RouteSpecTenant(tenant string, seq int64) (int, bool) {
+// monopolized. With no worker live anywhere the spec parks in park's
+// home shard.
+func (r *Router) RouteSpecTenant(tenant string, seq int64, park string) int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if len(r.alive) == 0 {
-		return 0, false
+		return r.park(park)
 	}
 	if seq < 0 {
 		seq = -seq
 	}
 	off := int64(tenantHash(tenant) % uint32(len(r.alive)))
-	return r.alive[int((off+seq)%int64(len(r.alive)))], true
+	return r.alive[int((off+seq)%int64(len(r.alive)))]
 }
 
 // tenantHash is FNV-1a over the tenant name — a fixed, seedless hash
@@ -176,10 +178,9 @@ func tenantHash(s string) uint32 {
 	return h
 }
 
-// Park returns the key's home shard for specs submitted while no
-// worker is live — a pure function, so re-routing on the first join
-// finds them deterministically.
-func (r *Router) Park(key string) int {
+// park returns the key's home shard for specs routed while no worker
+// is live.
+func (r *Router) park(key string) int {
 	return hashring.Partition(key, r.n)
 }
 

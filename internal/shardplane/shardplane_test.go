@@ -26,8 +26,11 @@ func TestShardOfIsStableAndInRange(t *testing.T) {
 
 func TestRouteSpecRoundRobinsAliveShards(t *testing.T) {
 	r := NewRouter(4)
-	if _, ok := r.RouteSpec(1); ok {
-		t.Fatal("RouteSpec with no live workers must report !ok")
+	if s := r.RouteSpec(1, "lib"); s != hashring.Partition("lib", 4) {
+		t.Fatalf("RouteSpec with no live workers = %d, want the park key's home shard", s)
+	}
+	if s := r.RouteSpecTenant("a", 3, "lib"); s != hashring.Partition("lib", 4) {
+		t.Fatalf("RouteSpecTenant with no live workers = %d, want the park key's home shard", s)
 	}
 	// Add workers until at least two shards are populated.
 	shards := map[int]bool{}
@@ -38,10 +41,7 @@ func TestRouteSpecRoundRobinsAliveShards(t *testing.T) {
 	}
 	seen := map[int]bool{}
 	for id := int64(0); id < 16; id++ {
-		s, ok := r.RouteSpec(id)
-		if !ok {
-			t.Fatal("RouteSpec must succeed with live workers")
-		}
+		s := r.RouteSpec(id, "lib")
 		if r.LiveIn(s) == 0 {
 			t.Fatalf("RouteSpec(%d) chose empty shard %d", id, s)
 		}
@@ -51,8 +51,8 @@ func TestRouteSpecRoundRobinsAliveShards(t *testing.T) {
 		t.Fatalf("round-robin visited %d shards, want >= 2", len(seen))
 	}
 	// Consecutive IDs cycle through alive shards in order.
-	s0, _ := r.RouteSpec(0)
-	sN, _ := r.RouteSpec(int64(len(seen)))
+	s0 := r.RouteSpec(0, "lib")
+	sN := r.RouteSpec(int64(len(seen)), "lib")
 	if s0 != sN {
 		t.Fatalf("RouteSpec must cycle with period len(alive): got %d then %d", s0, sN)
 	}
@@ -60,8 +60,8 @@ func TestRouteSpecRoundRobinsAliveShards(t *testing.T) {
 
 func TestOwnerFollowsRingAndDeath(t *testing.T) {
 	r := NewRouter(4)
-	if _, ok := r.Owner("task-1"); ok {
-		t.Fatal("Owner with no live workers must report !ok")
+	if s := r.Owner("task-1"); s != hashring.Partition("task-1", 4) {
+		t.Fatalf("Owner with no live workers = %d, want the key's home shard", s)
 	}
 	ring := hashring.New(0)
 	for i := 0; i < 12; i++ {
@@ -71,11 +71,7 @@ func TestOwnerFollowsRingAndDeath(t *testing.T) {
 	}
 	for i := 0; i < 50; i++ {
 		key := fmt.Sprintf("task-%d", i)
-		s, ok := r.Owner(key)
-		if !ok {
-			t.Fatalf("Owner(%s) failed with live workers", key)
-		}
-		if want := r.ShardOf(ring.Lookup(key)); s != want {
+		if s, want := r.Owner(key), r.ShardOf(ring.Lookup(key)); s != want {
 			t.Fatalf("Owner(%s) = %d, want shard of ring owner %d", key, s, want)
 		}
 	}
@@ -83,8 +79,7 @@ func TestOwnerFollowsRingAndDeath(t *testing.T) {
 	victim := ring.Lookup("task-7")
 	r.Remove(victim)
 	ring.Remove(victim)
-	s, ok := r.Owner("task-7")
-	if !ok || s != r.ShardOf(ring.Lookup("task-7")) {
+	if r.Owner("task-7") != r.ShardOf(ring.Lookup("task-7")) {
 		t.Fatal("Owner must follow the ring after member removal")
 	}
 }

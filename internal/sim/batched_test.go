@@ -11,7 +11,7 @@ import (
 // Batched-vs-unbatched differential: one random event script drives
 // two Replays that differ only in Config.Batched, so the per-decision
 // policy entry points (PlanTask / PlaceReady) and the batched ones
-// (PlanTaskBatch / PlaceReadyBatch) replay the same trace. The batch
+// (PlanTaskBatchInto / PlaceReadyBatchInto) replay the same trace. The batch
 // contract promises strict sequential equivalence — each batch
 // decision must equal what the per-decision call would have returned
 // against the incrementally-updated view — so the two engines must
@@ -90,7 +90,7 @@ func runBatchedDifferential(t *testing.T, level core.ReuseLevel, slots int, seed
 		case 7:
 			// Churn exercises the batch planners' failure paths: kills
 			// requeue work carrying an avoid preference (the two-phase
-			// Excluding fallback inside PlanTaskBatch), and joins grow
+			// Excluding fallback inside PlanTaskBatchInto), and joins grow
 			// the view mid-batch.
 			if len(live) > 3 && rng.Intn(2) == 0 {
 				k := rng.Intn(len(live))

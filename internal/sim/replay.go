@@ -35,11 +35,12 @@ type Replay struct {
 	wakeFn func()
 	// plane is the submission plane (cfg.Tenants, single-shard runs):
 	// specs submitted via the *Tenant entry points pass admission
-	// control and drain in fair-share order, exactly as the manager's
-	// submitPlane. It records into its own recorder — the manager's
-	// plane trace is a separate stream from the shard traces. The
-	// sharded composite keeps its plane on ShardedReplay instead.
-	plane *simPlane
+	// control and drain in fair-share order through the same
+	// policy.TenantPlane the manager drives. It records into its own
+	// recorder — the manager's plane trace is a separate stream from
+	// the shard traces. The sharded composite keeps its plane on
+	// ShardedReplay instead.
+	plane *policy.TenantPlane[simSpec]
 }
 
 type replayTask struct {
@@ -75,7 +76,7 @@ func NewReplay(cfg Config) *Replay {
 	st.refs = newSimRefs(cfg.RefOwnedBytesCap)
 	r := &Replay{st: st}
 	if len(cfg.Tenants) > 0 {
-		r.plane = newSimPlane(cfg.Tenants, &policy.Recorder{})
+		r.plane = policy.NewTenantPlane[simSpec](cfg.Tenants, &policy.Recorder{})
 		st.trackOwners = true
 	}
 	return r
@@ -120,17 +121,17 @@ func (r *Replay) drainInvs() {
 }
 
 // drainInvsBatched is the same pass through the batched entry point
-// the sharded manager uses: one PlaceReadyBatch call covers the whole
-// pool (its overlay stops exactly where sequential execution would),
-// and the remainder tries deploys one at a time — an instance deployed
-// mid-pass is not Ready until its ack, so no ready capacity can appear
-// between the batch and the deploys.
+// the sharded manager uses: one PlaceReadyBatchInto call covers the
+// whole pool (its overlay stops exactly where sequential execution
+// would), and the remainder tries deploys one at a time — an instance
+// deployed mid-pass is not Ready until its ack, so no ready capacity
+// can appear between the batch and the deploys.
 func (r *Replay) drainInvsBatched() {
 	st := r.st
 	if st.pending == 0 {
 		return
 	}
-	for _, d := range st.view.PlaceReadyBatch(st.lib, st.pending, nil) {
+	for _, d := range st.view.PlaceReadyBatchInto(nil, st.lib, st.pending, nil) {
 		st.execReady(d)
 	}
 	for st.pending > 0 {
@@ -159,17 +160,18 @@ func (r *Replay) drainTasks() {
 	r.pendq = remaining
 }
 
-// drainTasksBatched plans the whole keyed queue in one PlanTaskBatch
-// call and executes the returned placements in order. The batch
-// contract is strict sequential equivalence, so the decision trace is
-// identical to drainTasks's plan-one/execute-one loop — the
-// batched-vs-unbatched differential test (batched_test.go) proves it.
+// drainTasksBatched plans the whole keyed queue in one
+// PlanTaskBatchInto call and executes the returned placements in
+// order. The batch contract is strict sequential equivalence, so the
+// decision trace is identical to drainTasks's plan-one/execute-one
+// loop — the batched-vs-unbatched differential test (batched_test.go)
+// proves it.
 func (r *Replay) drainTasksBatched() {
 	st := r.st
 	if len(r.pendq) == 0 {
 		return
 	}
-	decisions := st.view.PlanTaskBatch(r.taskReqs(), st.stackFilter())
+	decisions := st.view.PlanTaskBatchInto(nil, r.taskReqs(), st.stackFilter())
 	remaining := r.pendq[:0]
 	for i, pt := range r.pendq {
 		if decisions[i].Worker == nil {
@@ -214,7 +216,7 @@ func (r *Replay) placeKeyed(pt replayTask) (placed, blocked bool) {
 	st := r.st
 	inputs := r.taskInputs(pt)
 	base := st.stackFilter()
-	d := st.view.PlanTask(pt.key, oneSlot, inputs, andFilter(policy.Excluding(pt.avoid), base))
+	d := st.view.PlanTask(pt.key, oneSlot, inputs, policy.AndFilters(policy.Excluding(pt.avoid), base))
 	if d.Worker == nil && pt.avoid != "" {
 		d = st.view.PlanTask(pt.key, oneSlot, inputs, base)
 	}
@@ -273,14 +275,14 @@ func (r *Replay) drainTasksSharded(hasNext bool, maxHops int) (forward []replayT
 		}
 	}
 	// Batched mode plans the whole queue up front (the manager's
-	// PlanTaskBatch call); unbatched plans each task against the
+	// PlanTaskBatchInto call); unbatched plans each task against the
 	// executed state of its predecessors. Sequential equivalence makes
 	// the decision streams identical, and quiet() is evaluated at the
 	// same point either way: during execution, after every earlier
 	// placement in the pass has landed.
 	var decisions []policy.PlaceTask
 	if r.st.cfg.Batched {
-		decisions = r.st.view.PlanTaskBatch(r.taskReqs(), r.st.stackFilter())
+		decisions = r.st.view.PlanTaskBatchInto(nil, r.taskReqs(), r.st.stackFilter())
 	}
 	remaining := r.pendq[:0]
 	for i, pt := range r.pendq {
@@ -357,17 +359,6 @@ func (r *Replay) extractPending() (tasks []replayTask, invs int, refs []specRef)
 
 // liveWorkers reports how many live workers this replay holds.
 func (r *Replay) liveWorkers() int { return len(r.st.byID) }
-
-// andFilter conjoins two optional view filters.
-func andFilter(a, b policy.Filter) policy.Filter {
-	if a == nil {
-		return b
-	}
-	if b == nil {
-		return a
-	}
-	return func(w *policy.WorkerView) bool { return a(w) && b(w) }
-}
 
 func taskKeyNum(k string) int {
 	n, _ := strconv.Atoi(strings.TrimPrefix(k, "task-"))
@@ -453,16 +444,15 @@ func (r *Replay) RefDecisions() []string { return r.st.refs.decisions() }
 // Unregistered tenants degrade to the direct single-tenant path.
 func (r *Replay) SubmitTenant(tenant string) {
 	r.nextKey++
-	var it simPlaneItem
+	var it simSpec
 	if r.st.cfg.Level == core.L3 {
-		it = simPlaneItem{ref: specRef{id: int64(r.nextKey), tenant: tenant}}
+		it = simSpec{ref: specRef{id: int64(r.nextKey), tenant: tenant}}
 	} else {
-		it = simPlaneItem{isTask: true, task: replayTask{key: "task-" + strconv.Itoa(r.nextKey), tenant: tenant}}
+		it = simSpec{isTask: true, task: replayTask{key: "task-" + strconv.Itoa(r.nextKey), tenant: tenant}}
 	}
-	if r.plane != nil && tenant != "" {
-		known, accepted := r.plane.submit(tenant, it)
-		if known {
-			if accepted && r.drainPlane() > 0 {
+	if r.plane != nil {
+		if t, d := r.plane.Admit(tenant, it); t != nil {
+			if d.Verdict != policy.AdmitShed && r.drainPlane() > 0 {
 				r.drain()
 			}
 			return
@@ -487,7 +477,7 @@ func (r *Replay) drainPlane() int {
 	if r.plane == nil {
 		return 0
 	}
-	return r.plane.drain(func(it simPlaneItem, tenant string, seq int64) {
+	return r.plane.Drain(func(it simSpec, tenant string, seq int64) {
 		if it.isTask {
 			r.pendq = append(r.pendq, it.task)
 			return
@@ -500,18 +490,14 @@ func (r *Replay) drainPlane() int {
 // finishRelease returns the completed spec's quota unit and schedules
 // whatever the release unblocks (single-shard runs).
 func (r *Replay) finishRelease(tenant string) {
-	if r.plane == nil || tenant == "" {
-		return
-	}
-	r.plane.release(tenant)
-	if r.drainPlane() > 0 {
+	if r.plane != nil && r.plane.Release(tenant) && r.drainPlane() > 0 {
 		r.drain()
 	}
 }
 
 // PlaneDecisions returns the submission plane's recorded trace — a
 // separate stream from the shard trace, as in the manager.
-func (r *Replay) PlaneDecisions() []string { return r.plane.decisions() }
+func (r *Replay) PlaneDecisions() []string { return r.plane.Decisions() }
 
 // EnvArrived delivers the environment tarball on worker id (the
 // FileAck): the in-flight copy becomes a replica, the serving slot is
@@ -813,7 +799,7 @@ func (r *Replay) Decisions() []string {
 	if refs := r.RefDecisions(); len(refs) > 0 {
 		merged = append(refs, merged...)
 	}
-	if plane := r.plane.decisions(); len(plane) > 0 {
+	if plane := r.plane.Decisions(); len(plane) > 0 {
 		return append(append([]string(nil), plane...), merged...)
 	}
 	return merged

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"strconv"
 
 	"repro/internal/core"
@@ -41,7 +42,7 @@ type ShardedReplay struct {
 	// of all shards, its own recorder — the manager's topology. Specs
 	// released by the fair-share drain route to shard intake queues
 	// exactly as the manager's drainLocked pushes them.
-	plane *simPlane
+	plane *policy.TenantPlane[simSpec]
 }
 
 // shardReplica is one shard's replay plus its wake-loop state.
@@ -57,20 +58,11 @@ type shardReplica struct {
 	// queues, and the wake loop drains them (in submission order) at
 	// the top of each pass — so the decision order stays byte-identical
 	// to the manager's MPSC hand-off.
-	intake []simIntake
+	intake []simSpec
 	// starving mirrors the manager's starvation registry entry: queued
 	// work survives a wake with nothing in flight locally, so only a
 	// capacity event in another shard (nudge) can unblock it.
 	starving bool
-}
-
-// simIntake is one routed spec waiting in a shard's intake queue: a
-// task by ring key, or (isTask false) one pooled invocation carrying
-// its owner ref (tenant runs thread identity through the pool).
-type simIntake struct {
-	isTask bool
-	task   replayTask
-	ref    specRef
 }
 
 // drainIntake replays queued intake items into the shard's pending
@@ -108,7 +100,7 @@ func NewShardedReplay(cfg Config, shards int) *ShardedReplay {
 		workerShard: map[string]int{},
 	}
 	if len(cfg.Tenants) > 0 {
-		sr.plane = newSimPlane(cfg.Tenants, &policy.Recorder{})
+		sr.plane = policy.NewTenantPlane[simSpec](cfg.Tenants, &policy.Recorder{})
 	}
 	for i := 0; i < shards; i++ {
 		scfg := cfg
@@ -185,12 +177,9 @@ func (sr *ShardedReplay) wake(i int) {
 // manager's routeTask, the spec goes through the shard's intake queue
 // and the wake loop moves it into the pending queue.
 func (sr *ShardedReplay) routeTask(pt replayTask) {
-	idx, ok := sr.router.Owner(pt.key)
-	if !ok {
-		idx = sr.router.Park(pt.key)
-	}
+	idx := sr.router.Owner(pt.key)
 	sh := sr.shards[idx]
-	sh.intake = append(sh.intake, simIntake{isTask: true, task: pt})
+	sh.intake = append(sh.intake, simSpec{isTask: true, task: pt})
 	sr.wake(idx)
 }
 
@@ -198,12 +187,9 @@ func (sr *ShardedReplay) routeTask(pt replayTask) {
 // its spec ID, parking in the library's home shard when no worker is
 // live anywhere. Intake hand-off, like routeTask.
 func (sr *ShardedReplay) routeInv(ref specRef) {
-	idx, ok := sr.router.RouteSpec(ref.id)
-	if !ok {
-		idx = sr.router.Park(sr.lib())
-	}
+	idx := sr.router.RouteSpec(ref.id, sr.lib())
 	sh := sr.shards[idx]
-	sh.intake = append(sh.intake, simIntake{ref: ref})
+	sh.intake = append(sh.intake, simSpec{ref: ref})
 	sr.wake(idx)
 }
 
@@ -225,10 +211,7 @@ func (sr *ShardedReplay) forwardEvacuated(tasks []replayTask, invs int, refs []s
 		sr.routeTask(pt)
 	}
 	if invs > 0 {
-		idx, ok := sr.router.Owner(sr.lib())
-		if !ok {
-			idx = sr.router.Park(sr.lib())
-		}
+		idx := sr.router.Owner(sr.lib())
 		sh := sr.shards[idx]
 		sh.rp.st.pending += invs
 		for _, ref := range refs {
@@ -302,16 +285,15 @@ func (sr *ShardedReplay) Submit(n int) {
 func (sr *ShardedReplay) SubmitTenant(tenant string) {
 	sr.nextID++
 	isTask := sr.cfg.Level != core.L3
-	var it simPlaneItem
+	var it simSpec
 	if isTask {
-		it = simPlaneItem{isTask: true, task: replayTask{key: "task-" + strconv.Itoa(sr.nextID), tenant: tenant}}
+		it = simSpec{isTask: true, task: replayTask{key: "task-" + strconv.Itoa(sr.nextID), tenant: tenant}}
 	} else {
-		it = simPlaneItem{ref: specRef{id: int64(sr.nextID), tenant: tenant}}
+		it = simSpec{ref: specRef{id: int64(sr.nextID), tenant: tenant}}
 	}
-	if sr.plane != nil && tenant != "" {
-		known, accepted := sr.plane.submit(tenant, it)
-		if known {
-			if accepted {
+	if sr.plane != nil {
+		if t, d := sr.plane.Admit(tenant, it); t != nil {
+			if d.Verdict != policy.AdmitShed {
 				sr.drainPlane()
 			}
 			return
@@ -334,24 +316,15 @@ func (sr *ShardedReplay) drainPlane() {
 		return
 	}
 	var wakes []int
-	touched := make([]bool, len(sr.shards))
-	sr.plane.drain(func(it simPlaneItem, tenant string, seq int64) {
+	sr.plane.Drain(func(it simSpec, tenant string, seq int64) {
 		var idx int
 		if it.isTask {
-			var ok bool
-			if idx, ok = sr.router.Owner(it.task.key); !ok {
-				idx = sr.router.Park(it.task.key)
-			}
-			sr.shards[idx].intake = append(sr.shards[idx].intake, simIntake{isTask: true, task: it.task})
+			idx = sr.router.Owner(it.task.key)
 		} else {
-			var ok bool
-			if idx, ok = sr.router.RouteSpecTenant(tenant, seq); !ok {
-				idx = sr.router.Park(sr.lib())
-			}
-			sr.shards[idx].intake = append(sr.shards[idx].intake, simIntake{ref: it.ref})
+			idx = sr.router.RouteSpecTenant(tenant, seq, sr.lib())
 		}
-		if !touched[idx] {
-			touched[idx] = true
+		sr.shards[idx].intake = append(sr.shards[idx].intake, it)
+		if !slices.Contains(wakes, idx) {
 			wakes = append(wakes, idx)
 		}
 	})
@@ -430,8 +403,7 @@ func (sr *ShardedReplay) Complete(id string) bool {
 	if !ok {
 		return false
 	}
-	if sr.plane != nil && tenant != "" {
-		sr.plane.release(tenant)
+	if sr.plane != nil && sr.plane.Release(tenant) {
 		sr.drainPlane()
 	}
 	sr.nudgeStarving()
@@ -448,8 +420,7 @@ func (sr *ShardedReplay) CompleteTask(id, key string) bool {
 	if !ok {
 		return false
 	}
-	if sr.plane != nil && tenant != "" {
-		sr.plane.release(tenant)
+	if sr.plane != nil && sr.plane.Release(tenant) {
 		sr.drainPlane()
 	}
 	sr.nudgeStarving()
@@ -487,7 +458,7 @@ func (sr *ShardedReplay) ShardDecisions() [][]string {
 
 // PlaneDecisions returns the submission plane's recorded trace — a
 // separate stream from the shard traces, as in the manager.
-func (sr *ShardedReplay) PlaneDecisions() []string { return sr.plane.decisions() }
+func (sr *ShardedReplay) PlaneDecisions() []string { return sr.plane.Decisions() }
 
 // Decisions returns the per-shard traces merged by the deterministic
 // rule (concatenation in shard-index order), prefixed by the plane

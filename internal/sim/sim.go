@@ -99,17 +99,18 @@ type Config struct {
 	// keeps tracing off the dispatch path.
 	DecisionTrace *policy.Recorder
 	// Batched makes Replay drains plan through the batched policy entry
-	// points (PlanTaskBatch / PlaceReadyBatch) the sharded manager uses,
-	// instead of one decision at a time. The batch contract is strict
-	// sequential equivalence, so the decision trace must be identical
-	// either way — the batched-vs-unbatched differential test proves it
-	// on live random traces. Replay-only; the timed path is untouched.
+	// points (PlanTaskBatchInto / PlaceReadyBatchInto) the sharded
+	// manager uses, instead of one decision at a time. The batch
+	// contract is strict sequential equivalence, so the decision trace
+	// must be identical either way — the batched-vs-unbatched
+	// differential test proves it on live random traces. Replay-only;
+	// the timed path is untouched.
 	Batched bool
 	// Tenants enables the submission plane (DESIGN.md §14): every
 	// arrival passes admission control and waits in its tenant's plane
-	// queue until the weighted fair-share drain releases it. Replay
-	// drivers mirror the manager's plane exactly (tenant specs arrive
-	// via the *Tenant entry points); the timed simulator replaces
+	// queue until the weighted fair-share drain releases it — the
+	// manager's policy.TenantPlane. Replay drivers take tenant specs
+	// via the *Tenant entry points; the timed simulator replaces
 	// Invocations with per-tenant Poisson arrival processes.
 	Tenants []core.TenantSpec
 	// TenantRates are per-tenant Poisson arrival rates in
@@ -260,10 +261,10 @@ type state struct {
 	// the replay drivers keep their planes on the Replay/ShardedReplay
 	// composites instead, with their own recorders, so the plane trace
 	// stays a separate stream exactly as the manager's is.
-	plane *simPlane
+	plane *policy.TenantPlane[simSpec]
 	// trackOwners threads admitted-spec identity through the pending
 	// pool: owners is the FIFO of admitted-but-unplaced invocation refs
-	// (head-indexed like the manager's tenantQueue). The timed path
+	// (head-indexed like the plane's tenant FIFOs). The timed path
 	// pops at bind; replay pops at each recorded placement, mirroring
 	// the manager placing its queue head at every TracePlace.
 	trackOwners bool
@@ -433,8 +434,10 @@ func Run(cfg Config) *Result {
 	st.tryDispatch()
 	st.res.TotalTime = st.S.Run()
 	if st.plane != nil {
-		st.res.SubmitsShed = st.plane.shed
-		st.res.SubmitsThrottled = st.plane.throttled
+		for _, t := range st.plane.Stats() {
+			st.res.SubmitsShed += int(t.Shed)
+			st.res.SubmitsThrottled += int(t.Throttled)
+		}
 	}
 	st.res.Summary = metrics.Summarize(st.res.Times)
 	st.finishBreakdowns()
@@ -967,8 +970,7 @@ func (st *state) complete(sl *slot, start float64) {
 	if st.plane != nil {
 		tenant := sl.tenant
 		sl.owner, sl.tenant = 0, ""
-		if tenant != "" {
-			st.plane.release(tenant)
+		if st.plane.Release(tenant) {
 			st.drainPlaneTimed()
 		}
 	}

@@ -1,53 +1,18 @@
 package sim
 
-import (
-	"repro/internal/core"
-	"repro/internal/policy"
-)
+import "repro/internal/policy"
 
-// simPlane mirrors the manager's submission plane (internal/manager
-// submit.go, DESIGN.md §14) for both simulator drivers: the same pure
-// policy calls — AdmitSubmit on every tenant-carrying spec,
-// PlanSubmitBatch for the fair-share drain order — against the same
-// per-tenant accounting, recorded through the same trace lines. The
-// simulator is single-threaded, so the plane needs no mutex and no
-// deferred-wake machinery; everything else is line for line what the
-// manager does, which is exactly what the differential harness proves.
-type simPlane struct {
-	queues []*simTenantQueue
-	// states aliases each queue's TenantState in tenant-index order —
-	// the slice the pure policy calls take.
-	states []*policy.TenantState
-	byName map[string]int
-	// rec records admit verdicts and drain picks. The replay drivers
-	// give the plane its own recorder (the manager's plane trace is a
-	// separate stream from the shard traces); the timed simulator
-	// shares its run recorder, interleaving plane and placement lines.
-	rec *policy.Recorder
-
-	shed      int
-	throttled int
-}
-
-// simTenantQueue is one tenant's plane state: accounting for the pure
-// policy calls plus the FIFO of admitted-but-unreleased specs.
-type simTenantQueue struct {
-	state policy.TenantState
-	q     []simPlaneItem
-	head  int
-	// drained is the tenant's invocation routing cursor
-	// (shardplane.Router.RouteSpecTenant), advanced per drained
-	// invocation exactly as the manager's tenantQueue.drained.
-	drained int64
-}
-
-// simPlaneItem is one queued spec: a keyed task, or (isTask false) an
-// invocation identified by its specRef.
-type simPlaneItem struct {
+// simSpec is one submitted spec on its way to a shard's pending
+// state — queued in the submission plane (policy.TenantPlane, shared
+// with the manager) or in a shard's intake: a keyed task, or (isTask
+// false) one pooled invocation carrying its owner ref.
+type simSpec struct {
 	isTask bool
 	task   replayTask
 	ref    specRef
 }
+
+func (s simSpec) PlaneTask() bool { return s.isTask }
 
 // specRef identifies one admitted invocation across the plane and the
 // slot it eventually binds to: the manager-side spec ID plus the
@@ -58,92 +23,6 @@ type specRef struct {
 	tenant string
 }
 
-// newSimPlane builds the plane over the normalized tenant registry.
-func newSimPlane(specs []core.TenantSpec, rec *policy.Recorder) *simPlane {
-	norm := core.NormalizeTenants(specs, policy.MaxTenantWeight)
-	p := &simPlane{byName: make(map[string]int, len(norm)), rec: rec}
-	for i, ts := range norm {
-		tq := &simTenantQueue{state: policy.TenantState{Spec: ts}}
-		p.queues = append(p.queues, tq)
-		p.states = append(p.states, &tq.state)
-		p.byName[ts.Name] = i
-	}
-	return p
-}
-
-// submit runs one spec through admission control — the manager's
-// submitPlane.submit without the locking and the shed-result delivery.
-// known is false for unregistered tenants (the caller degrades to the
-// direct single-tenant path); accepted is false when the spec was shed.
-func (p *simPlane) submit(tenant string, it simPlaneItem) (known, accepted bool) {
-	ti, ok := p.byName[tenant]
-	if !ok {
-		return false, false
-	}
-	tq := p.queues[ti]
-	d := policy.AdmitSubmit(&tq.state)
-	p.rec.Record(policy.TraceAdmit(tenant, d))
-	if d.Verdict == policy.AdmitShed {
-		p.shed++
-		return true, false
-	}
-	if d.Verdict == policy.AdmitThrottle {
-		p.throttled++
-	}
-	policy.NoteQueued(p.states, &tq.state)
-	tq.q = append(tq.q, it)
-	return true, true
-}
-
-// drain releases queued specs in fair-share order until no tenant is
-// eligible — the manager's drainLocked, with the shard hand-off
-// abstracted into route: each released item is delivered with its
-// tenant name and (for invocations) the tenant's routing cursor value
-// at release time. Returns the release count.
-func (p *simPlane) drain(route func(it simPlaneItem, tenant string, seq int64)) int {
-	picks := policy.PlanSubmitBatch(p.states, 0, p.rec)
-	for _, ti := range picks {
-		tq := p.queues[ti]
-		it := tq.q[tq.head]
-		tq.q[tq.head] = simPlaneItem{} // drop spec references
-		tq.head++
-		if tq.head == len(tq.q) {
-			tq.q, tq.head = tq.q[:0], 0
-		}
-		var seq int64
-		if !it.isTask {
-			seq = tq.drained
-			tq.drained++
-		}
-		route(it, tq.state.Spec.Name, seq)
-	}
-	return len(picks)
-}
-
-// release returns one unit of a tenant's in-flight quota — called on
-// every completion of a plane-admitted spec, empty tenant a no-op.
-func (p *simPlane) release(tenant string) {
-	if tenant == "" {
-		return
-	}
-	ti, ok := p.byName[tenant]
-	if !ok {
-		return
-	}
-	if tq := p.queues[ti]; tq.state.InFlight > 0 {
-		tq.state.InFlight--
-	}
-}
-
-// decisions returns the plane's recorded trace (nil plane/recorder
-// safe).
-func (p *simPlane) decisions() []string {
-	if p == nil || p.rec == nil {
-		return nil
-	}
-	return p.rec.Decisions
-}
-
 // ---- owner threading through the pending pool ----
 
 // pushOwner appends one admitted invocation's identity to the pool's
@@ -151,7 +30,7 @@ func (p *simPlane) decisions() []string {
 func (st *state) pushOwner(ref specRef) { st.owners = append(st.owners, ref) }
 
 // popOwner removes the FIFO head (head-indexed with storage recycling,
-// like the manager's tenantQueue). An empty FIFO yields the zero ref —
+// like the plane's tenant FIFOs). An empty FIFO yields the zero ref —
 // an untracked spec — rather than panicking.
 func (st *state) popOwner() specRef {
 	if st.ownersHead == len(st.owners) {
@@ -191,7 +70,7 @@ func (st *state) startTenantArrivals() {
 	if len(st.cfg.Tenants) == 0 || st.replay {
 		return
 	}
-	st.plane = newSimPlane(st.cfg.Tenants, st.rec)
+	st.plane = policy.NewTenantPlane[simSpec](st.cfg.Tenants, st.rec)
 	st.trackOwners = true
 	st.pending = 0
 	st.arrivalsLeft = make([]int, len(st.cfg.Tenants))
@@ -224,11 +103,10 @@ func (st *state) arrive(i int) {
 	st.nextSpecID++
 	tenant := st.cfg.Tenants[i].Name
 	ref := specRef{id: st.nextSpecID, tenant: tenant}
-	known, accepted := st.plane.submit(tenant, simPlaneItem{ref: ref})
-	if !known {
+	if t, d := st.plane.Admit(tenant, simSpec{ref: ref}); t == nil {
 		st.pending++
 		st.pushOwner(specRef{id: ref.id})
-	} else if accepted {
+	} else if d.Verdict != policy.AdmitShed {
 		st.drainPlaneTimed()
 	}
 	st.tryDispatch()
@@ -240,7 +118,7 @@ func (st *state) arrive(i int) {
 // drainPlaneTimed moves every fair-share-released spec into the
 // pending pool; the caller's tryDispatch picks them up.
 func (st *state) drainPlaneTimed() {
-	st.plane.drain(func(it simPlaneItem, tenant string, seq int64) {
+	st.plane.Drain(func(it simSpec, tenant string, seq int64) {
 		st.pending++
 		st.pushOwner(it.ref)
 	})
