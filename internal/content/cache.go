@@ -89,6 +89,23 @@ func (c *Cache) Get(id string) (*Object, bool) {
 func (c *Cache) Put(obj *Object) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.putLocked(obj)
+}
+
+// PutPinned inserts an object as Put does and pins it under the same
+// lock hold, so a concurrent Put's eviction cannot drop the object
+// between the insert and the pin.
+func (c *Cache) PutPinned(obj *Object) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.putLocked(obj); err != nil {
+		return err
+	}
+	c.entries[obj.ID].pins++
+	return nil
+}
+
+func (c *Cache) putLocked(obj *Object) error {
 	if _, ok := c.entries[obj.ID]; ok {
 		return nil // already cached; contents are immutable
 	}

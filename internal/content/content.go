@@ -48,8 +48,14 @@ type Object struct {
 	// Name is a human-readable label (file name); not part of identity.
 	Name string
 	Kind Kind
-	// Data is the object's actual bytes.
-	Data []byte
+	// Data is the object's actual bytes. It is never JSON-encoded: a
+	// spec that names an object (a library's environment and bound
+	// inputs, a task's inputs) crosses the control connection as ID,
+	// name, kind and sizes only, and the bytes move once through the
+	// data plane's bulk frames and peer fetches, where the worker
+	// resolves them by ID. Inlining them would resend a multi-MB input
+	// inside every install frame.
+	Data []byte `json:"-"`
 	// LogicalSize is the size charged to caches and transfer models. It
 	// defaults to len(Data) but may be larger for modeled artifacts
 	// (e.g. a manifest standing in for a 572 MB tarball).

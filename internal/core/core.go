@@ -220,6 +220,15 @@ type LibrarySpec struct {
 	Resources Resources
 }
 
+// Files returns the library's file bindings: the environment first
+// (when set), then the bound inputs.
+func (ls *LibrarySpec) Files() []FileSpec {
+	if ls.Env == nil {
+		return ls.Inputs
+	}
+	return append([]FileSpec{*ls.Env}, ls.Inputs...)
+}
+
 // SlotCount returns the effective slot count (at least 1).
 func (ls *LibrarySpec) SlotCount() int {
 	if ls.Slots < 1 {

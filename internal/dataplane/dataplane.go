@@ -313,7 +313,7 @@ func (p *Plane) PutOwned(obj *content.Object) error {
 	if p.owned[obj.ID] {
 		return nil
 	}
-	if err := p.cache.Put(obj); err != nil {
+	if err := p.cache.PutPinned(obj); err != nil {
 		if p.cfg.Shared == nil {
 			return err
 		}
@@ -323,9 +323,6 @@ func (p *Plane) PutOwned(obj *content.Object) error {
 		return nil
 	}
 	p.puts.Add(1)
-	if err := p.cache.Pin(obj.ID); err != nil {
-		return err
-	}
 	p.owned[obj.ID] = true
 	delete(p.spilled, obj.ID)
 	return nil

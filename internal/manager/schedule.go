@@ -566,15 +566,10 @@ func (s *shard) deployForInvocationLocked(inv *core.InvocationSpec) bool {
 	if !known {
 		return false
 	}
-	var libFiles []core.FileSpec
-	if spec.Env != nil {
-		libFiles = append(libFiles, *spec.Env)
-	}
-	libFiles = append(libFiles, spec.Inputs...)
 	d := s.view.PlanDeploy(policy.DeploySpec{
 		Name:  spec.Name,
 		Res:   spec.Resources,
-		Files: libFiles,
+		Files: spec.Files(),
 	}, nil)
 	if d.Worker == nil {
 		// Workers blocked only on an in-flight first copy of the
@@ -633,12 +628,7 @@ func (s *shard) evictForLocked(w *workerState, wantLib string, need core.Resourc
 // already committed and the manager's own link is always a valid (if
 // less scalable) source.
 func (s *shard) deployLibraryLocked(w *workerState, spec *core.LibrarySpec, res core.Resources) {
-	var files []core.FileSpec
-	if spec.Env != nil {
-		files = append(files, *spec.Env)
-	}
-	files = append(files, spec.Inputs...)
-	for _, fs := range files {
+	for _, fs := range spec.Files() {
 		sf := s.view.PlanStage(w.v, fs, nil)
 		if sf.Mode == policy.StageWait {
 			sf.Mode = policy.StageDirect

@@ -9,6 +9,15 @@
 // the raw payload, so a multi-MB environment tarball is written
 // straight from its backing slice — no base64 expansion and no second
 // in-memory copy on either side of the connection.
+//
+// The wire rule: object bytes travel only in bulk frames and peer
+// fetches, never inside a JSON control frame. A library install or
+// task frame names its environment and inputs by content ID and
+// metadata (content.Object.Data is not JSON-encoded), and the worker
+// resolves them by ID through its data plane, so a multi-MB input
+// crosses each link once however many frames name it. The JSON
+// MsgPutFile and MsgFileData forms are still accepted from older
+// peers; no engine component sends them.
 package proto
 
 import (

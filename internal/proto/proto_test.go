@@ -11,6 +11,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/content"
 	"repro/internal/core"
 )
 
@@ -399,3 +400,75 @@ type discardRW struct{}
 
 func (discardRW) Read(p []byte) (int, error)  { return 0, io.EOF }
 func (discardRW) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestSpecFramesCarryNoObjectBytes pins the wire rule: a library
+// install or task frame names its objects by ID and metadata only,
+// however large they are. The bytes move through bulk frames and peer
+// fetches, where the worker resolves them by ID.
+func TestSpecFramesCarryNoObjectBytes(t *testing.T) {
+	big := bytes.Repeat([]byte("0123456789abcdef"), (4<<20)/16)
+	input := core.FileSpec{Object: content.NewDataset("weights.bin", big, 64<<20), Cache: true, PeerTransfer: true}
+	env := core.FileSpec{Object: content.NewTarball("env.tar.gz", []byte("manifest"), 512<<20, 2<<30), Cache: true, PeerTransfer: true, Unpack: true}
+	ref := core.FileSpec{Object: content.NewBlob("prev.out", []byte("result")), Cache: true, PeerTransfer: true, ByRef: true}
+	lib := core.LibrarySpec{Name: "lib", Env: &env, Inputs: []core.FileSpec{input}, Slots: 4}
+	task := core.TaskSpec{ID: 9, Script: "pass\n", Inputs: []core.FileSpec{env, input, ref}}
+
+	check := func(t *testing.T, got, want []core.FileSpec) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("decoded %d files, want %d", len(got), len(want))
+		}
+		for i, w := range want {
+			g := got[i]
+			if g.Object == nil {
+				t.Fatalf("file %d: object lost", i)
+			}
+			o, wo := *g.Object, *w.Object
+			if len(o.Data) != 0 {
+				t.Errorf("file %d: %d object bytes crossed the control frame", i, len(o.Data))
+			}
+			o.Data, wo.Data = nil, nil
+			if o.ID != wo.ID || o.Name != wo.Name || o.Kind != wo.Kind ||
+				o.LogicalSize != wo.LogicalSize || o.UnpackedSize != wo.UnpackedSize {
+				t.Errorf("file %d metadata: got %+v, want %+v", i, o, wo)
+			}
+			if g.Cache != w.Cache || g.PeerTransfer != w.PeerTransfer || g.Unpack != w.Unpack || g.ByRef != w.ByRef {
+				t.Errorf("file %d flags: got %+v, want %+v", i, g, w)
+			}
+		}
+	}
+	roundTrip := func(t *testing.T, typ MsgType, v any) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		c := NewConn(&buf)
+		if err := c.Send(typ, v); err != nil {
+			t.Fatal(err)
+		}
+		if n := buf.Len(); n >= 4<<10 {
+			t.Errorf("%v frame is %d bytes, want < 4 KB", typ, n)
+		}
+		_, raw, err := c.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+
+	t.Run("install", func(t *testing.T) {
+		got, err := Decode[core.LibrarySpec](roundTrip(t, MsgInstallLibrary, lib))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Env == nil {
+			t.Fatal("environment binding lost")
+		}
+		check(t, got.Files(), lib.Files())
+	})
+	t.Run("task", func(t *testing.T) {
+		got, err := Decode[core.TaskSpec](roundTrip(t, MsgRunTask, task))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, got.Inputs, task.Inputs)
+	})
+}

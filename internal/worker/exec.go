@@ -28,6 +28,11 @@ type executor struct {
 	mu        sync.Mutex
 	libs      map[string]*libHolder
 	committed core.Resources
+	// envMods keeps each environment tarball's parsed module set by
+	// content ID. An ID is the SHA-256 of the bytes, so a kept set can
+	// never go stale; a manifest that does not parse keeps an empty set.
+	envMods   map[string]map[string]bool
+	envParses int64
 }
 
 // libHolder pairs a library instance with its execution lock (direct
@@ -40,10 +45,11 @@ type libHolder struct {
 
 func newExecutor(w *Worker) *executor {
 	return &executor{
-		cfg:   &w.cfg,
-		plane: w.plane,
-		w:     w,
-		libs:  map[string]*libHolder{},
+		cfg:     &w.cfg,
+		plane:   w.plane,
+		w:       w,
+		libs:    map[string]*libHolder{},
+		envMods: map[string]map[string]bool{},
 	}
 }
 
@@ -104,22 +110,50 @@ func (e *executor) moduleResolver(allowed map[string]bool, sb *sandbox) func(*mi
 }
 
 // allowedModules collects the package names installed by every
-// unpacked environment tarball among the given objects.
-func allowedModules(objs []*content.Object) map[string]bool {
-	allowed := map[string]bool{}
+// unpacked environment tarball among the given objects. The result is
+// read-only: with a single environment it is that tarball's kept set.
+func (e *executor) allowedModules(objs []*content.Object) map[string]bool {
+	var sets []map[string]bool
 	for _, obj := range objs {
-		if obj.Kind != content.Tarball {
-			continue
+		if obj.Kind == content.Tarball {
+			sets = append(sets, e.envModules(obj))
 		}
-		spec, err := poncho.UnpackManifest(obj.Data)
-		if err != nil {
-			continue
-		}
-		for _, m := range spec.Modules() {
+	}
+	if len(sets) == 1 {
+		return sets[0]
+	}
+	allowed := map[string]bool{}
+	for _, mods := range sets {
+		for m := range mods {
 			allowed[m] = true
 		}
 	}
 	return allowed
+}
+
+// envModules returns a tarball's module set, parsing its manifest only
+// on the worker's first use of that tarball.
+func (e *executor) envModules(obj *content.Object) map[string]bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	mods, ok := e.envMods[obj.ID]
+	if !ok {
+		mods = map[string]bool{}
+		if spec, err := poncho.UnpackManifest(obj.Data); err == nil {
+			for _, m := range spec.Modules() {
+				mods[m] = true
+			}
+		}
+		e.envMods[obj.ID] = mods
+		e.envParses++
+	}
+	return mods
+}
+
+func (e *executor) parses() int64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.envParses
 }
 
 // ---- task execution ----
@@ -191,7 +225,7 @@ func (e *executor) runTask(spec core.TaskSpec) {
 	// Execute the script.
 	execStart := time.Now()
 	host := &library.Host{
-		Resolve: e.moduleResolver(allowedModules(objs), sb),
+		Resolve: e.moduleResolver(e.allowedModules(objs), sb),
 		Out:     e.stdout(),
 	}
 	ip := minipy.NewInterp(host)
@@ -257,11 +291,7 @@ func (e *executor) installLibrary(spec core.LibrarySpec) {
 		e.release(res)
 		ackErr(err, retryable)
 	}
-	specs := spec.Inputs
-	if spec.Env != nil {
-		specs = append([]core.FileSpec{*spec.Env}, specs...)
-	}
-	for _, in := range specs {
+	for _, in := range spec.Files() {
 		obj, err := e.plane.PinResolve(in.Object.ID)
 		if err != nil {
 			fail(fmt.Errorf("library input %q not staged: %v", in.Object.Name, err), true)
@@ -285,7 +315,7 @@ func (e *executor) installLibrary(spec core.LibrarySpec) {
 		}
 	}
 	host := &library.Host{
-		Resolve: e.moduleResolver(allowedModules(objs), nil),
+		Resolve: e.moduleResolver(e.allowedModules(objs), nil),
 		Out:     e.stdout(),
 		Inputs:  inputs,
 	}
@@ -322,11 +352,7 @@ func (e *executor) removeLibrary(name string) {
 	if !ok {
 		return
 	}
-	specs := h.lib.Spec.Inputs
-	if h.lib.Spec.Env != nil {
-		specs = append([]core.FileSpec{*h.lib.Spec.Env}, specs...)
-	}
-	for _, in := range specs {
+	for _, in := range h.lib.Spec.Files() {
 		_ = e.plane.Unpin(in.Object.ID)
 	}
 	e.release(h.res)

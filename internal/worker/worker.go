@@ -90,6 +90,9 @@ type Stats struct {
 	// corruption — each one is also reported to the manager as a log
 	// line.
 	ProtocolErrors int64
+	// EnvParses counts environment manifests parsed: one per distinct
+	// tarball the worker has run tasks or libraries against.
+	EnvParses int64
 	// Data is the data plane's staging counters.
 	Data dataplane.Stats
 }
@@ -197,6 +200,7 @@ func (w *Worker) DataAddr() string { return w.dataAddr }
 func (w *Worker) Stats() Stats {
 	return Stats{
 		ProtocolErrors: w.protoErrors.Load(),
+		EnvParses:      w.exec.parses(),
 		Data:           w.plane.Snapshot(),
 	}
 }

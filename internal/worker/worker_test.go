@@ -246,6 +246,95 @@ func TestTaskModuleIsolation(t *testing.T) {
 	}
 }
 
+func TestEnvironmentManifestParsedOnce(t *testing.T) {
+	// An environment never changes once unpacked, so the worker parses
+	// its manifest on first use and every later task or library install
+	// on the same tarball reuses the kept module set.
+	fm := newFakeManager(t)
+	w, _ := startWorker(t, fm, Config{ID: "w"})
+	put := func(obj *content.Object) {
+		t.Helper()
+		if err := fm.conn.Send(proto.MsgPutFile, proto.PutFile{
+			File: proto.FileMeta{ID: obj.ID, Name: obj.Name, Kind: int(obj.Kind),
+				Data: obj.Data, LogicalSize: obj.LogicalSize, UnpackedSize: obj.UnpackedSize},
+			Cache: true, Unpack: true,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		fm.expect(t, proto.MsgFileAck)
+	}
+	// runTasks dispatches n tasks importing mathx from env at once, so
+	// their first use of the environment is concurrent.
+	runTasks := func(n int, env *content.Object) []core.Result {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			spec := core.TaskSpec{
+				ID:        int64(i),
+				Script:    "import mathx\nimport vine_runtime\nvine_runtime.store_result(mathx.sqrt(4.0))\n",
+				Inputs:    []core.FileSpec{{Object: env, Cache: true, Unpack: true}},
+				Resources: core.Resources{Cores: 1},
+			}
+			if err := fm.conn.Send(proto.MsgRunTask, spec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out := make([]core.Result, n)
+		for i := range out {
+			res, err := proto.DecodeResult(fm.expect(t, proto.MsgResult))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = res
+		}
+		return out
+	}
+
+	envSpec, err := poncho.Resolve(pkgindex.StandardIndex(), []string{"mathx"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tarball, err := envSpec.Pack("env.tar.gz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	put(tarball)
+	for _, res := range runTasks(4, tarball) {
+		if !res.Ok {
+			t.Fatalf("task %d: %s", res.ID, res.Err)
+		}
+	}
+	if got := w.Stats().EnvParses; got != 1 {
+		t.Fatalf("after 4 tasks: %d manifest parses, want 1", got)
+	}
+	lib := core.LibrarySpec{
+		Name:      "lib",
+		Functions: []core.FunctionSpec{{Name: "f", Source: "def f(x):\n    import mathx\n    return mathx.sqrt(x)\n"}},
+		Env:       &core.FileSpec{Object: tarball, Cache: true, Unpack: true},
+		Resources: core.Resources{Cores: 1, MemoryMB: 64, DiskMB: 64},
+	}
+	if err := fm.conn.Send(proto.MsgInstallLibrary, lib); err != nil {
+		t.Fatal(err)
+	}
+	if ack, _ := proto.Decode[proto.LibraryAck](fm.expect(t, proto.MsgLibraryAck)); !ack.Ok {
+		t.Fatalf("install: %+v", ack)
+	}
+	if got := w.Stats().EnvParses; got != 1 {
+		t.Errorf("after library install: %d manifest parses, want 1", got)
+	}
+
+	// A manifest that does not parse installs nothing, on every use.
+	bad := content.NewTarball("bad.tar.gz", []byte("not a manifest"), 1<<10, 1<<10)
+	put(bad)
+	for _, res := range runTasks(2, bad) {
+		if res.Ok || !strings.Contains(res.Err, "no module named 'mathx'") {
+			t.Errorf("task %d on a bad manifest: %+v", res.ID, res)
+		}
+	}
+	if got := w.Stats().EnvParses; got != 2 {
+		t.Errorf("after the bad manifest: %d manifest parses, want 2", got)
+	}
+}
+
 func TestResourceEnforcement(t *testing.T) {
 	fm := newFakeManager(t)
 	_, _ = startWorker(t, fm, Config{ID: "w", Resources: core.Resources{Cores: 2, MemoryMB: 100, DiskMB: 100}})

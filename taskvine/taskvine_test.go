@@ -1,11 +1,13 @@
 package taskvine
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
-
-	"repro/internal/content"
 	"testing"
 	"time"
+
+	"repro/internal/content"
 
 	"repro/internal/core"
 	"repro/internal/minipy"
@@ -813,5 +815,73 @@ def lookup(key):
 		if !got[want] {
 			t.Errorf("missing result %s (have %v)", want, got)
 		}
+	}
+}
+
+func TestLargeBoundInputReachesEveryInstance(t *testing.T) {
+	// Install frames name a bound input by ID only; its bytes reach each
+	// worker through the data plane. A multi-MB input must arrive whole
+	// on every worker hosting an instance.
+	m := newTestManager(t, 2, Options{})
+	env, err := m.Exec(`
+def setup():
+    global digest
+    import vine_data
+    text = vine_data.load_text("corpus.txt")
+    digest = str(len(text)) + ":" + str(text.count("q")) + ":" + text[-8:]
+
+def fingerprint(i):
+    global digest
+    return digest
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lib, err := m.CreateLibraryFromFunctions("biglib", LibraryOptions{ContextSetup: "setup", Slots: 1}, env, "fingerprint")
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpus := make([]byte, 3<<20)
+	x := uint32(12345)
+	for i := range corpus {
+		x = x*1664525 + 1013904223
+		corpus[i] = 'a' + byte((x>>16)%26)
+	}
+	want := fmt.Sprintf("%d:%d:%s", len(corpus), bytes.Count(corpus, []byte("q")), corpus[len(corpus)-8:])
+	lib.AddInput(content.NewDataset("corpus.txt", corpus, int64(len(corpus))), true)
+	if err := m.InstallLibrary(lib); err != nil {
+		t.Fatal(err)
+	}
+	const calls = 8
+	for i := 0; i < calls; i++ {
+		if _, err := m.Call("biglib", "fingerprint", minipy.Int(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	results, err := m.Collect(calls, collectTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	instances := map[string]bool{}
+	for _, r := range results {
+		if !r.Ok {
+			t.Fatalf("call failed: %s", r.Err)
+		}
+		v, err := m.DecodeValue(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := v.(minipy.Str); !ok || string(got) != want {
+			t.Errorf("instance %s read %s, want %q", r.Metrics.LibraryInstance, v.Repr(), want)
+		}
+		instances[r.Metrics.LibraryInstance] = true
+	}
+	for _, w := range m.LocalWorkers() {
+		if len(w.Libraries()) != 1 {
+			t.Errorf("worker %s hosts %v, want the library", w.ID(), w.Libraries())
+		}
+	}
+	if len(instances) < 2 {
+		t.Errorf("calls served by %d instances, want 2", len(instances))
 	}
 }
